@@ -15,6 +15,7 @@ package addrkv
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -173,19 +174,27 @@ func BenchmarkClusterParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			sys.Load(keys, 64)
-			var nextSeed atomic.Uint64
+			// One generator per RunParallel goroutine, built before the
+			// timer starts: the zipf setup is not part of an op.
+			gens := make([]*ycsb.Generator, runtime.GOMAXPROCS(0))
+			for i := range gens {
+				gens[i] = ycsb.NewGenerator(ycsb.Config{
+					Keys: keys, ValueSize: 64, Dist: ycsb.Zipf,
+					Seed: uint64(i + 1), SetFraction: 0.05,
+				})
+			}
+			var nextGen atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				g := ycsb.NewGenerator(ycsb.Config{
-					Keys: keys, ValueSize: 64, Dist: ycsb.Zipf,
-					Seed: nextSeed.Add(1), SetFraction: 0.05,
-				})
+				g := gens[nextGen.Add(1)-1]
 				var buf [ycsb.KeyLen]byte
+				var val []byte
 				c := sys.Cluster()
 				for pb.Next() {
 					op := g.Next()
 					if op.Type == ycsb.Set {
-						c.Set(ycsb.KeyNameInto(buf[:], op.KeyID%keys), ycsb.Value(op.KeyID, 1, 64))
+						val = ycsb.ValueInto(val, op.KeyID, 1, 64)
+						c.Set(ycsb.KeyNameInto(buf[:], op.KeyID%keys), val)
 					} else {
 						c.GetTouch(ycsb.KeyNameInto(buf[:], op.KeyID%keys))
 					}
@@ -237,6 +246,7 @@ func BenchmarkMicroYCSBNext(b *testing.B) {
 	for _, d := range ycsb.Distributions() {
 		b.Run(string(d), func(b *testing.B) {
 			g := ycsb.NewGenerator(ycsb.Config{Keys: 1 << 20, ValueSize: 64, Dist: d, Seed: 1})
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Next()
 			}

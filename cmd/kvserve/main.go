@@ -196,6 +196,7 @@ func newServer(sys *addrkv.System, slowlogCap int) *server {
 	}
 	s.initTrace(traceConfig{}) // sampling off until TRACE ON or -trace-sample
 	s.tele.registerTraceMetrics(s)
+	s.tele.registerMemoryMetrics(s)
 	return s
 }
 
@@ -1251,6 +1252,10 @@ func (s *server) info() string {
 	})
 
 	s.persistInfo(func(format string, args ...any) {
+		fmt.Fprintf(&b, format, args...)
+	})
+
+	s.memoryInfo(func(format string, args ...any) {
 		fmt.Fprintf(&b, format, args...)
 	})
 

@@ -2,11 +2,15 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
 	"addrkv"
 	"addrkv/internal/wal"
+	"addrkv/internal/ycsb"
 )
 
 // newPersistServer builds a server with durability on, recovering
@@ -248,5 +252,66 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 	}
 	if transcripts[false] != transcripts[true] {
 		t.Fatal("worker and mutex dispatch produced different reply transcripts under snapshot load")
+	}
+}
+
+// TestMemoryInfoAndMetrics: INFO's "# memory" section and /metrics
+// report the Go heap and the AOF pending buffer, and a preload several
+// times wal.PendBound per shard leaves a pending high-water mark
+// within the bound plus one frame and nothing pending afterwards.
+func TestMemoryInfoAndMetrics(t *testing.T) {
+	const keys, vsize = 20000, 200
+	s := newPersistServer(t, 2, t.TempDir(), "everysec", true)
+	defer shutdownPersist(s)
+	s.sys.Load(keys, vsize)
+
+	info := string(call(t, s, "INFO").([]byte))
+	fields := map[string]int64{}
+	for _, line := range strings.Split(info, "\r\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok {
+			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+				fields[k] = n
+			}
+		}
+	}
+	if !strings.Contains(info, "# memory\r\n") {
+		t.Fatalf("INFO has no memory section:\n%s", info)
+	}
+	for _, k := range []string{"go_heap_live_bytes", "go_heap_goal_bytes", "go_alloc_bytes_total"} {
+		if fields[k] <= 0 {
+			t.Errorf("INFO %s = %d, want > 0", k, fields[k])
+		}
+	}
+	if _, ok := fields["go_gc_cycles"]; !ok {
+		t.Error("INFO has no go_gc_cycles")
+	}
+	if peak := fields["wal_pending_peak_bytes"]; peak <= 0 || peak > int64(wal.PendBound+wal.FrameSize(ycsb.KeyLen, vsize)) {
+		t.Errorf("wal_pending_peak_bytes %d, bound %d plus one frame", peak, wal.PendBound)
+	}
+	if fields["wal_pending_bytes"] != 0 {
+		t.Errorf("wal_pending_bytes = %d after the preload's commit", fields["wal_pending_bytes"])
+	}
+
+	srv, addr, err := startMetricsServer("127.0.0.1:0", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	res, err := http.Get("http://" + addr.String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"addrkv_go_heap_live_bytes ", "addrkv_go_heap_goal_bytes ", "addrkv_go_gc_cycles_total ",
+		"addrkv_go_alloc_bytes_total ", "addrkv_wal_pending_bytes 0", "addrkv_wal_pending_peak_bytes ",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

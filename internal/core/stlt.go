@@ -96,6 +96,10 @@ type STLT struct {
 
 	rng uint64 // xorshift state for the probabilistic counter
 
+	// walkBuf is the SPTW's reused step buffer: like the hardware
+	// walker, a refill allocates nothing.
+	walkBuf []vm.WalkStep
+
 	Stats Stats
 }
 
@@ -434,9 +438,10 @@ func (t *STLT) insertFunctional(integer uint64, va arch.Addr) {
 // sptw is the simplified page table walker: the normal walker with
 // exceptions disabled. PTE reads go through the data caches.
 func (t *STLT) sptw(va arch.Addr) vm.PTE {
-	pte, steps := t.m.AS.PT.Walk(va, nil)
+	var pte vm.PTE
+	pte, t.walkBuf = t.m.AS.PT.Walk(va, t.walkBuf[:0])
 	var c arch.Cycles
-	for _, st := range steps {
+	for _, st := range t.walkBuf {
 		c += t.m.Caches.Access(st.PTEAddr, false, arch.KindPageTable)
 	}
 	t.chargeCycles(c, arch.CatSTLT)

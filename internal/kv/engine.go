@@ -378,9 +378,10 @@ func (e *Engine) fastHash(key []byte) uint64 {
 func (e *Engine) Load(n int, valueSize int) {
 	wasFast := e.M.Fast
 	e.M.Fast = true
+	var val []byte
 	for id := uint64(0); id < uint64(n); id++ {
 		key := ycsb.KeyNameInto(e.keyBuf[:], id)
-		val := ycsb.Value(id, 0, valueSize)
+		val = ycsb.ValueInto(val, id, 0, valueSize)
 		e.Idx.Put(key, val)
 		e.lfuAccount(key, val)
 	}

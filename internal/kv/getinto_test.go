@@ -53,8 +53,10 @@ func TestGetIntoMatchesGet(t *testing.T) {
 
 // TestGetIntoZeroAlloc pins the engine-side allocation budget: with a
 // warm value buffer, GetInto, Set (same-size update), Exists and
-// Delete+Set cycles are allocation-free. (Get allocates exactly its
-// value — that is why GetInto exists.)
+// Delete+Set cycles are allocation-free, and so is the first GetInto
+// of a key after Load — the STLT refill, whose SPTW walk reuses its
+// step buffer. (Get allocates exactly its value — that is why GetInto
+// exists.)
 func TestGetIntoZeroAlloc(t *testing.T) {
 	e, err := New(Config{Keys: 4000, Index: KindChainHash, Mode: ModeSTLT, RedisLayer: true})
 	if err != nil {
@@ -75,5 +77,26 @@ func TestGetIntoZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(2000, f); n != 0 {
 			t.Errorf("%s: %.1f allocs/op, budget 0", name, n)
 		}
+	}
+
+	// Every AllocsPerRun call below reads a key with no STLT row yet:
+	// the fast path misses, the index walk finds the record, and
+	// insertSTLT refills the table through the SPTW.
+	const first, refills = 1000, 2000
+	buf, _ = e.GetInto(ycsb.KeyName(first), buf[:0]) // size the walk buffer
+	keys := make([][]byte, refills+1)                // AllocsPerRun adds one warm-up call
+	for i := range keys {
+		keys[i] = ycsb.KeyName(first + 1 + uint64(i))
+	}
+	before := e.STLT.Stats.Inserts
+	i := 0
+	if n := testing.AllocsPerRun(refills, func() {
+		buf, _ = e.GetInto(keys[i], buf[:0])
+		i++
+	}); n != 0 {
+		t.Errorf("GetInto STLT refill: %.1f allocs/op, budget 0", n)
+	}
+	if got := e.STLT.Stats.Inserts - before; got < refills {
+		t.Errorf("only %d STLT refills over %d first reads; the leg did not exercise the refill path", got, refills)
 	}
 }

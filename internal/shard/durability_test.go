@@ -369,3 +369,57 @@ func TestAttachWALShardMismatch(t *testing.T) {
 		l.Close()
 	}
 }
+
+// TestBulkLoadBoundedLog: a preload several times wal.PendBound per
+// shard never holds more than the bound plus one frame pending, still
+// writes each shard's segment as exactly the RecLoad frames of its
+// keys in id order (what one buffered commit would write), and
+// recovers bit-for-bit to a cluster that loaded without a log.
+func TestBulkLoadBoundedLog(t *testing.T) {
+	const shards, loadN, valueSize = 2, 6000, 1000
+	dir := t.TempDir()
+	orig, err := New(Config{Shards: shards, Engine: durTestCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, _ := openLogs(t, dir, shards, wal.FsyncEverySec)
+	if err := orig.AttachWAL(logs); err != nil {
+		t.Fatal(err)
+	}
+	orig.Load(loadN, valueSize)
+
+	want := make([][]byte, shards)
+	for id := uint64(0); id < loadN; id++ {
+		key := ycsb.KeyName(id)
+		i := orig.ShardFor(key)
+		want[i] = wal.AppendFrame(want[i], wal.RecLoad, key, ycsb.Value(id, 0, valueSize))
+	}
+	for i := 0; i < shards; i++ {
+		st := orig.WAL(i).Stats()
+		if st.Spills == 0 || st.Commits != 1 || st.PendBytes != 0 ||
+			st.PendMaxBytes > wal.PendBound+wal.FrameSize(ycsb.KeyLen, valueSize) {
+			t.Fatalf("shard %d after load: %+v", i, st)
+		}
+		got, err := os.ReadFile(orig.WAL(i).SegmentPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("shard %d segment: %d bytes, differing from the %d-byte expected encoding", i, len(got), len(want[i]))
+		}
+	}
+	if err := orig.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, st := recoverCluster(t, dir, shards)
+	if st.Loads != loadN {
+		t.Fatalf("apply stats = %+v", st)
+	}
+	reference, err := New(Config{Shards: shards, Engine: durTestCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference.Load(loadN, valueSize)
+	assertClustersBitIdentical(t, recovered, reference, "bulk load")
+}

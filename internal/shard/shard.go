@@ -168,12 +168,13 @@ func (c *Cluster) Engine(i int) *kv.Engine { return c.shards[i].e }
 // preloaded server recovers to the same warm state.
 func (c *Cluster) Load(n, valueSize int) {
 	var buf [ycsb.KeyLen]byte
+	var val []byte
 	for id := uint64(0); id < uint64(n); id++ {
 		key := ycsb.KeyNameInto(buf[:], id)
 		i := c.ShardFor(key)
 		s := c.shards[i]
 		s.mu.Lock()
-		val := ycsb.Value(id, 0, valueSize)
+		val = ycsb.ValueInto(val, id, 0, valueSize)
 		s.e.LoadOne(key, val)
 		c.walAppend(i, s.e, wal.RecLoad, key, val, nil)
 		s.mu.Unlock()

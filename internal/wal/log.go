@@ -60,6 +60,15 @@ func snapPath(dir string, shard int, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d.snap.%d", shard, gen))
 }
 
+// PendBound caps the pending buffer. An Append that would push the
+// pending bytes past it first writes what the buffer holds, so a bulk
+// path (preload, an oversized pipelined burst, a migration import)
+// never holds more than about PendBound in memory while ordinary
+// group-commit bursts, a few frames each, never reach it. Commit
+// remains the durability barrier: bytes written early are not
+// fsynced, and not acknowledged, until the next Commit.
+const PendBound = 1 << 20
+
 // Log is one shard's append-only log. Exactly one writer (the shard's
 // owning worker or a mutex-path caller holding the shard lock) appends;
 // the internal mutex only coordinates appends with the background
@@ -69,7 +78,8 @@ func snapPath(dir string, shard int, gen uint64) string {
 // shape: Append encodes frames into a pending buffer (no syscalls, no
 // allocations in steady state), and Commit writes the whole buffer
 // with one write(2) and at most one fsync — group commit over a drain
-// burst.
+// burst. A burst larger than PendBound is written in several pieces,
+// with the same bytes in the same order.
 type Log struct {
 	dir    string
 	shard  int
@@ -87,8 +97,10 @@ type Log struct {
 	// barrier instead of fsyncing an already-durable file.
 	unsynced bool
 
+	pendMax  int // high-water mark of len(pend)
 	appends  uint64
 	commits  uint64
+	spills   uint64
 	fsyncs   uint64
 	fsyncNS  uint64
 	rewrites uint64
@@ -121,22 +133,46 @@ func (l *Log) SegmentPath() string {
 	return segPath(l.dir, l.shard, l.gen)
 }
 
-// Append encodes one record into the pending buffer. It touches no
-// file and performs no allocation once the buffer has grown to the
-// burst's working size; Commit publishes it. Returns the frame's
-// encoded size.
+// Append encodes one record into the pending buffer. It performs no
+// allocation once the buffer has grown to the burst's working size,
+// and touches the file only when the record would push the buffer
+// past PendBound; Commit publishes it. Returns the frame's encoded
+// size (0 after an I/O error).
 func (l *Log) Append(kind Kind, key, value []byte) int {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err != nil {
-		l.mu.Unlock()
 		return 0
 	}
-	before := len(l.pend)
+	n := FrameSize(len(key), len(value))
+	if len(l.pend) > 0 && len(l.pend)+n > PendBound {
+		l.spills++
+		l.unsynced = true
+		if l.writePendLocked() != nil {
+			return 0
+		}
+	}
 	l.pend = AppendFrame(l.pend, kind, key, value)
-	n := len(l.pend) - before
+	l.pendMax = max(l.pendMax, len(l.pend))
 	l.appends++
-	l.mu.Unlock()
 	return n
+}
+
+// writePendLocked writes the pending buffer to the segment with one
+// write(2) and empties it. A buffer an oversized record grew past
+// twice the bound is released rather than kept for the log's life.
+// An error is sticky in l.err.
+func (l *Log) writePendLocked() error {
+	n, err := l.f.Write(l.pend)
+	l.size += int64(n)
+	l.pend = l.pend[:0]
+	if cap(l.pend) > 2*PendBound {
+		l.pend = nil
+	}
+	if err != nil {
+		l.err = fmt.Errorf("wal shard %d: append: %w", l.shard, err)
+	}
+	return l.err
 }
 
 // Commit writes the pending buffer to the segment with one write(2)
@@ -156,14 +192,10 @@ func (l *Log) commitLocked() error {
 		return l.err
 	}
 	if len(l.pend) > 0 {
-		n, err := l.f.Write(l.pend)
-		l.size += int64(n)
-		l.pend = l.pend[:0]
 		l.commits++
 		l.unsynced = true
-		if err != nil {
-			l.err = fmt.Errorf("wal shard %d: append: %w", l.shard, err)
-			return l.err
+		if err := l.writePendLocked(); err != nil {
+			return err
 		}
 	}
 	switch l.policy {
@@ -208,13 +240,9 @@ func (l *Log) Sync() error {
 		return l.err
 	}
 	if len(l.pend) > 0 {
-		n, err := l.f.Write(l.pend)
-		l.size += int64(n)
-		l.pend = l.pend[:0]
 		l.commits++
-		if err != nil {
-			l.err = fmt.Errorf("wal shard %d: append: %w", l.shard, err)
-			return l.err
+		if err := l.writePendLocked(); err != nil {
+			return err
 		}
 	}
 	return l.fsyncLocked()
@@ -243,13 +271,8 @@ func (l *Log) Close() error {
 	syncErr := error(nil)
 	if l.err == nil {
 		if len(l.pend) > 0 {
-			n, err := l.f.Write(l.pend)
-			l.size += int64(n)
-			l.pend = l.pend[:0]
 			l.commits++
-			if err != nil {
-				l.err = err
-			}
+			l.writePendLocked() //nolint:errcheck // sticky in l.err
 		}
 		if l.err == nil {
 			syncErr = l.fsyncLocked()
@@ -291,14 +314,20 @@ func (l *Log) runSyncer() {
 type Stats struct {
 	// Gen is the current file generation (bumped by every rewrite).
 	Gen uint64
-	// SizeBytes counts committed bytes in the current segment;
-	// PendBytes counts encoded-but-uncommitted bytes.
-	SizeBytes int64
-	PendBytes int
+	// SizeBytes counts bytes written to the current segment;
+	// PendBytes counts encoded-but-unwritten bytes and PendMaxBytes
+	// is its high-water mark over the log's life (at most PendBound
+	// plus one frame).
+	SizeBytes    int64
+	PendBytes    int
+	PendMaxBytes int
 	// Appends/Commits/Fsyncs count records, write(2) batches, and
 	// fsync(2) barriers — Appends/Commits is the group-commit factor.
+	// Spills counts the early writes Append made to keep the pending
+	// buffer under PendBound; they are not commits.
 	Appends uint64
 	Commits uint64
+	Spills  uint64
 	Fsyncs  uint64
 	// FsyncNS is total wall time spent in fsync.
 	FsyncNS uint64
@@ -316,8 +345,10 @@ func (l *Log) Stats() Stats {
 		Gen:            l.gen,
 		SizeBytes:      l.size,
 		PendBytes:      len(l.pend),
+		PendMaxBytes:   l.pendMax,
 		Appends:        l.appends,
 		Commits:        l.commits,
+		Spills:         l.spills,
 		Fsyncs:         l.fsyncs,
 		FsyncNS:        l.fsyncNS,
 		Rewrites:       l.rewrites,

@@ -390,3 +390,74 @@ func TestStickyWriteError(t *testing.T) {
 		t.Fatal("append accepted after sticky error")
 	}
 }
+
+// TestPendingBufferBound: appending far past PendBound without a
+// Commit keeps the pending buffer within the bound plus one frame,
+// and the segment ends up byte-identical to an unbounded append
+// followed by one commit. The early writes are counted as spills, not
+// commits, and Commit stays the barrier: under always, the one Commit
+// fsyncs once however many spills preceded it.
+func TestPendingBufferBound(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := OpenShard(dir, 0, FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	maxFrame := 0
+	for i := 0; len(want) < 3*PendBound+PendBound/2; i++ {
+		key := fmt.Appendf(nil, "key-%d", i)
+		val := bytes.Repeat([]byte{byte(i)}, 40+(i*131)%3000)
+		want = AppendFrame(want, RecLoad, key, val)
+		maxFrame = max(maxFrame, FrameSize(len(key), len(val)))
+		l.Append(RecLoad, key, val)
+		if st := l.Stats(); st.PendBytes > PendBound+maxFrame {
+			t.Fatalf("append %d: %d pending bytes, bound %d + one frame %d", i, st.PendBytes, PendBound, maxFrame)
+		}
+	}
+	st := l.Stats()
+	if st.Spills < 3 || st.Commits != 0 || st.Fsyncs != 0 {
+		t.Fatalf("before commit: %+v, want >= 3 spills and no commit or fsync", st)
+	}
+	if st.PendMaxBytes > PendBound+maxFrame || st.SizeBytes+int64(st.PendBytes) != int64(len(want)) {
+		t.Fatalf("before commit: %+v for %d appended bytes", st, len(want))
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Commits != 1 || st.Fsyncs != 1 || st.PendBytes != 0 {
+		t.Fatalf("after commit: %+v, want one commit and one fsync", st)
+	}
+	got, err := os.ReadFile(l.SegmentPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes, differing from the %d-byte unbounded encoding", len(got), len(want))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOversizedFrameReleased: a single record larger than PendBound
+// is accepted whole, and the buffer it grew is not kept once written.
+func TestOversizedFrameReleased(t *testing.T) {
+	l, _, err := OpenShard(t.TempDir(), 0, FsyncNo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	huge := bytes.Repeat([]byte{'h'}, 3*PendBound)
+	l.Append(RecSet, []byte("small"), []byte("v"))
+	l.Append(RecSet, []byte("huge"), huge) // spills "small" first
+	if st := l.Stats(); st.Spills != 1 || st.PendBytes != FrameSize(4, len(huge)) {
+		t.Fatalf("after huge append: %+v", st)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.pend); c > 2*PendBound {
+		t.Fatalf("pending buffer kept %d bytes of capacity after commit", c)
+	}
+}

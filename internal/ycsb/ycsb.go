@@ -185,7 +185,17 @@ const KeyLen = 24
 // Value renders a deterministic value payload of n bytes for a key id
 // and version (so updates change the bytes).
 func Value(id uint64, version uint32, n int) []byte {
-	v := make([]byte, n)
+	return ValueInto(nil, id, version, n)
+}
+
+// ValueInto renders Value(id, version, n) into buf's storage, growing
+// it only when cap(buf) < n, and returns the n-byte result — the
+// garbage-free form for bulk loaders that reuse one buffer.
+func ValueInto(buf []byte, id uint64, version uint32, n int) []byte {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	v := buf[:n]
 	state := fnv64(id ^ uint64(version)<<40 ^ 0xabcdef)
 	for i := range v {
 		state = state*6364136223846793005 + 1442695040888963407

@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"bytes"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -55,6 +57,52 @@ func TestValueDeterministicVersioned(t *testing.T) {
 	}
 	if len(Value(5, 0, 256)) != 256 {
 		t.Fatal("size ignored")
+	}
+}
+
+// TestValueIntoMatchesValue: ValueInto must render exactly Value's
+// bytes whatever buffer it is handed — nil, too small, or a larger
+// one holding stale bytes — because the benchmark verifier and WAL
+// replay compare against these payloads. The checksums pin both to
+// the bytes Value has always produced.
+func TestValueIntoMatchesValue(t *testing.T) {
+	cases := []struct {
+		id      uint64
+		version uint32
+		n       int
+		crc     uint32
+	}{
+		{0, 0, 64, 0x7567c8ba},
+		{123, 1, 64, 0x48505736},
+		{199999, 0, 100, 0x585f3a08},
+		{7, 3, 1, 0x1c630b12},
+		{42, 9, 4096, 0x0b389601},
+		{5, 0, 0, 0},
+	}
+	stale := bytes.Repeat([]byte{0xEE}, 8192)
+	for _, c := range cases {
+		want := Value(c.id, c.version, c.n)
+		if got := crc32.ChecksumIEEE(want); got != c.crc {
+			t.Errorf("Value(%d,%d,%d) crc %08x, want %08x", c.id, c.version, c.n, got, c.crc)
+		}
+		big := append([]byte(nil), stale...)
+		for name, buf := range map[string][]byte{
+			"nil":   nil,
+			"small": make([]byte, 3),
+			"large": big,
+		} {
+			got := ValueInto(buf, c.id, c.version, c.n)
+			if !bytes.Equal(got, want) {
+				t.Errorf("ValueInto(%s, %d,%d,%d) differs from Value", name, c.id, c.version, c.n)
+			}
+		}
+		if !bytes.Equal(big[c.n:], stale[c.n:]) {
+			t.Errorf("ValueInto(%d,%d,%d) wrote past n", c.id, c.version, c.n)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = ValueInto(buf, 9, 1, 64) }); n != 0 {
+		t.Errorf("ValueInto into a large enough buffer: %.1f allocs, want 0", n)
 	}
 }
 
