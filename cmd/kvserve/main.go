@@ -103,6 +103,10 @@ const (
 	defaultWriteBufCap = 256 << 10
 )
 
+// defaultWriteTimeout bounds how long a reply write may block on a
+// client that has stopped reading before the connection is dropped.
+const defaultWriteTimeout = 60 * time.Second
+
 // defaultScanCount is SCAN's page size without an explicit COUNT.
 const defaultScanCount = 10
 
@@ -122,6 +126,10 @@ type netConfig struct {
 	// idleTimeout, when positive, is the per-connection read deadline:
 	// a client silent for longer is disconnected.
 	idleTimeout time.Duration
+	// writeTimeout is the per-connection write deadline: a client that
+	// leaves its replies unread for longer is disconnected instead of
+	// pinning its serve goroutine.
+	writeTimeout time.Duration
 	// maxConns, when positive, sheds connections beyond this count
 	// with an error reply instead of serving them.
 	maxConns int
@@ -166,10 +174,6 @@ type server struct {
 	// cluster hook checks it, so standalone behavior is untouched).
 	clus *clusterState
 
-	// loop is the event-loop networking front-end (nil without
-	// -netloop; the accept path then serves goroutine-per-connection).
-	loop *loopState
-
 	// Span tracing: the sampling tracer shared with every shard engine,
 	// the flight-recorder dump sink (nil without -trace-dir), and a
 	// connection sequence so spans name the connection they came from.
@@ -188,8 +192,9 @@ func newServer(sys *addrkv.System, slowlogCap int) *server {
 	s := &server{
 		sys: sys,
 		net: netConfig{
-			maxPipeline: defaultMaxPipeline,
-			writeBufCap: defaultWriteBufCap,
+			maxPipeline:  defaultMaxPipeline,
+			writeBufCap:  defaultWriteBufCap,
+			writeTimeout: defaultWriteTimeout,
 		},
 		tele:  newServerTele(sys, slowlogCap),
 		conns: map[net.Conn]struct{}{},
@@ -217,10 +222,6 @@ func main() {
 		writeBuf = flag.Int("writebuf", defaultWriteBufCap, "reply bytes buffered per connection before an early flush")
 		idleTO   = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		maxConns = flag.Int("maxconns", 0, "max concurrent client connections; extras are shed with an error (0 = unlimited)")
-
-		netloop   = flag.Bool("netloop", false, "event-loop front-end: reader shards multiplex connections instead of one goroutine per connection")
-		readers   = flag.Int("readers", 0, "reader shards for -netloop (0 = GOMAXPROCS/2, capped at 8)")
-		netPoller = flag.String("netloop-poller", "auto", "netloop poller: auto|epoll|portable")
 
 		dispatch = flag.String("dispatch", "worker", "worker: per-shard owning goroutines drain request rings; mutex: lock-per-op dispatch")
 		queueCap = flag.Int("queue", 0, "per-shard request ring capacity for -dispatch worker (0 = default, rounded up to a power of two)")
@@ -320,12 +321,10 @@ func main() {
 		s.tele.registerPersistMetrics(s)
 		s.startSnapshotter()
 	}
-	s.net = netConfig{
-		maxPipeline: *maxPipe,
-		writeBufCap: *writeBuf,
-		idleTimeout: *idleTO,
-		maxConns:    *maxConns,
-	}
+	s.net.maxPipeline = *maxPipe
+	s.net.writeBufCap = *writeBuf
+	s.net.idleTimeout = *idleTO
+	s.net.maxConns = *maxConns
 	s.initTrace(traceConfig{
 		sampleEvery: *traceSample,
 		dir:         *traceDir,
@@ -384,14 +383,6 @@ func main() {
 		s.startSweeper(*sweepEvery, sweepLim)
 	}
 
-	if *netloop {
-		if err := s.startNetloop(*readers, *netPoller); err != nil {
-			log.Fatalf("kvserve: %v", err)
-		}
-		log.Printf("kvserve: netloop front-end up (%d reader shard(s), %s poller)",
-			len(s.loop.shards), s.loop.poller)
-	}
-
 	if *maddr != "" {
 		msrv, bound, err := startMetricsServer(*maddr, s)
 		if err != nil {
@@ -421,14 +412,12 @@ func main() {
 		log.Printf("kvserve: %v — stopping accept, draining connections", sig)
 		s.closing.Store(true)
 		ln.Close()
-		s.nudgeConns()  // wake readers blocked on idle connections
-		s.wakeNetloop() // wake reader shards parked in their pollers
+		s.nudgeConns() // wake readers blocked on idle connections
 	}()
 
 	s.acceptLoop(ln)
 
 	s.drain()
-	s.stopNetloop()      // loops closed their conns during drain; join them
 	s.stopSweeper()      // before the logs close: sweeps append expiry records
 	s.stopWorkers()      // after drain: no connection is producing anymore
 	s.closePersistence() // after workers: nothing appends; sync + close the logs
@@ -441,8 +430,8 @@ func main() {
 }
 
 // acceptLoop accepts until the listener closes, shedding past the
-// -maxconns ceiling and handing tracked connections to the event loop
-// (-netloop) or a per-connection serve goroutine.
+// -maxconns ceiling and serving each tracked connection on its own
+// goroutine.
 func (s *server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -461,11 +450,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 			go s.shed(conn)
 			continue
 		}
-		if s.loop != nil {
-			s.loop.add(conn)
-		} else {
-			go s.serve(conn)
-		}
+		go s.serve(conn)
 	}
 }
 
@@ -598,7 +583,7 @@ func (s *server) serve(conn net.Conn) {
 		src = &idleConn{conn: conn, s: s}
 	}
 	r := resp.NewReader(src)
-	w := resp.NewWriter(conn)
+	w := resp.NewWriter(&stallConn{conn: conn, timeout: s.net.writeTimeout})
 	for {
 		// The arena-reuse read path: everything cmds references is valid
 		// until the next ReadPipelineReuse call, i.e. across this whole
@@ -629,16 +614,12 @@ func (s *server) serve(conn net.Conn) {
 	}
 }
 
-// runBurstCmds dispatches one parsed pipeline burst — the dispatch
-// core shared verbatim by the goroutine path (serve) and the event
-// loop (processReady), which is what makes the two front-ends
-// bit-for-bit identical in replies and modeled stats. Worker mode
+// runBurstCmds dispatches one parsed pipeline burst. Worker mode
 // classifies each command: async single-key ops enqueue on their
 // shard rings; anything else is an ordering barrier that flushes the
 // pending window first. quit/monitor report the command that
-// requested them (later commands in the burst are dropped, exactly
-// like the blocking loop's break). The caller owns the trailing
-// flushPending + Flush.
+// requested them (later commands in the burst are dropped). The
+// caller owns the trailing flushPending + Flush.
 func (s *server) runBurstCmds(w *resp.Writer, cs *connState, cmds [][][]byte) (quit, monitor bool, werr error) {
 	if len(cmds) > 0 {
 		s.tele.pipeBatches.Inc()
@@ -689,6 +670,26 @@ func (ic *idleConn) Read(p []byte) (int, error) {
 	return ic.conn.Read(p)
 }
 
+// stallConn arms the write deadline before reply writes, so a client
+// that stops reading is dropped instead of pinning its serve
+// goroutine. The deadline is re-armed only once less than half the
+// window is left: a blocked write fails after timeout/2 to timeout,
+// and the flush path pays one clock read instead of a timer update
+// per write (on net.Pipe a deadline update also allocates).
+type stallConn struct {
+	conn    net.Conn
+	timeout time.Duration
+	until   time.Time
+}
+
+func (sc *stallConn) Write(p []byte) (int, error) {
+	if now := time.Now(); sc.until.Sub(now) < sc.timeout/2 {
+		sc.until = now.Add(sc.timeout)
+		_ = sc.conn.SetWriteDeadline(sc.until)
+	}
+	return sc.conn.Write(p)
+}
+
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
@@ -703,12 +704,6 @@ func isTimeout(err error) bool {
 type connState struct {
 	id  int64
 	ops uint64
-
-	// netloop marks connections served by the event-loop front-end;
-	// reader is the owning reader shard (sampled spans stamp it on an
-	// EvNetRead event so traces attribute ingress).
-	netloop bool
-	reader  int
 
 	// asking is the one-shot ASKING flag (cluster mode): the next
 	// command may bypass the op gate if its slot is importing here.
@@ -751,9 +746,6 @@ func (s *server) dispatch(w *resp.Writer, args [][]byte, cs *connState) (quit, m
 			if cs.ops%every == 0 {
 				sp = s.tracer.BeginSampled(cmd, args[1])
 				sp.Conn = cs.id
-				if cs.netloop {
-					sp.EventRel(trace.EvNetRead, 0, int64(cs.reader), 0, 0)
-				}
 				sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 				oc.Trace = sp
 			}
@@ -1237,9 +1229,6 @@ func (s *server) info() string {
 	fmt.Fprintf(&b, "early_flushes:%d\r\n", s.tele.earlyFlush.Load())
 	fmt.Fprintf(&b, "batch_commands:%d\r\n", s.tele.batchCmds.Load())
 	fmt.Fprintf(&b, "batched_keys:%d\r\n", s.tele.batchKeys.Load())
-	s.netloopInfo(func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-	})
 
 	fmt.Fprintf(&b, "# expiry\r\n")
 	fmt.Fprintf(&b, "expire_cycle_budget:%d\r\n", s.sweepBudget)

@@ -777,3 +777,274 @@ func TestServerIdleTimeout(t *testing.T) {
 		t.Fatal("idle connection not closed")
 	}
 }
+
+// tcpFrontend serves s on a loopback TCP listener (deadlines and
+// socket buffers behave as in production, unlike net.Pipe) and
+// registers main's shutdown sequence: closing, listener close, nudge,
+// drain.
+func tcpFrontend(t *testing.T, s *server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.acceptLoop(ln)
+	t.Cleanup(func() {
+		s.closing.Store(true)
+		ln.Close()
+		s.nudgeConns()
+		s.drain()
+	})
+	return ln.Addr().String()
+}
+
+// tcpClient dials addr and returns RESP ends plus the raw conn.
+func tcpClient(t *testing.T, addr string) (*resp.Reader, *resp.Writer, net.Conn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return resp.NewReader(conn), resp.NewWriter(conn), conn
+}
+
+// dribble writes raw in chunk-byte pieces with gap between them: a
+// client trickling a pipelined burst slower than the idle timeout but
+// never going fully silent.
+func dribble(t *testing.T, conn net.Conn, raw []byte, chunk int, gap time.Duration) {
+	t.Helper()
+	for off := 0; off < len(raw); off += chunk {
+		end := min(off+chunk, len(raw))
+		if _, err := conn.Write(raw[off:end]); err != nil {
+			t.Errorf("dribble write at %d: %v", off, err)
+			return
+		}
+		time.Sleep(gap)
+	}
+}
+
+// TestIdleTimeoutMidBurst: "idle" means no BYTES for the timeout, so a
+// client trickling a pipelined burst slower than the timeout (but with
+// steady byte arrival) is never reaped mid-burst, while a genuinely
+// silent connection on the same server is.
+func TestIdleTimeoutMidBurst(t *testing.T) {
+	const (
+		pings = 12
+		idle  = 120 * time.Millisecond
+	)
+	var burst bytes.Buffer
+	bw := resp.NewWriter(&burst)
+	for i := 0; i < pings; i++ {
+		bw.WriteCommand([]byte("PING"))
+	}
+	bw.Flush()
+
+	// One subtest per front-end; goroutine-per-connection is the only one.
+	t.Run("goroutine", func(t *testing.T) {
+		s := newTestServer(t)
+		s.net.idleTimeout = idle
+		addr := tcpFrontend(t, s)
+
+		// ~30ms per 8-byte chunk: the burst spans several timeouts end to
+		// end but is never silent for one.
+		r, _, conn := tcpClient(t, addr)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			dribble(t, conn, burst.Bytes(), 8, 30*time.Millisecond)
+		}()
+		for i := 0; i < pings; i++ {
+			v, err := r.ReadReply()
+			if err != nil {
+				t.Fatalf("trickled reply %d: %v (mid-burst reap?)", i, err)
+			}
+			if v != "PONG" {
+				t.Fatalf("trickled reply %d = %v", i, v)
+			}
+		}
+		<-done
+
+		_, _, quiet := tcpClient(t, addr)
+		quiet.SetReadDeadline(time.Now().Add(10 * idle))
+		if _, err := quiet.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Fatalf("silent conn not reaped: %v", err)
+		}
+	})
+}
+
+// TestServeMalformed: a malformed command closes the connection, but
+// only after every complete command ahead of it has been answered.
+func TestServeMalformed(t *testing.T) {
+	s := newWorkerServer(t, 1)
+	addr := tcpFrontend(t, s)
+	r, _, conn := tcpClient(t, addr)
+	if _, err := conn.Write([]byte("*1\r\n$4\r\nPING\r\n*1\r\n$-5\r\nbogus\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if v, err := r.ReadReply(); err != nil || v != "PONG" {
+		t.Fatalf("reply ahead of malformed input: %v, %v", v, err)
+	}
+	if _, err := r.ReadReply(); err == nil || isTimeout(err) {
+		t.Fatalf("connection survived malformed input: %v", err)
+	}
+}
+
+// TestServeMonitor: a live MONITOR over a socket sees another
+// connection's traffic and detaches on its next command; with a
+// pipeline cap of 1, a PING pipelined right behind MONITOR (still
+// unparsed in the reader) detaches it at once.
+func TestServeMonitor(t *testing.T) {
+	s := newWorkerServer(t, 1)
+	s.net.maxPipeline = 1
+	addr := tcpFrontend(t, s)
+
+	mr, mw, mconn := tcpClient(t, addr)
+	mconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	mw.WriteCommand([]byte("MONITOR"))
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := mr.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("MONITOR ack: %v, %v", v, err)
+	}
+	r, w, _ := tcpClient(t, addr)
+	w.WriteCommand([]byte("SET"), []byte("spied"), []byte("on"))
+	w.Flush()
+	if v, err := r.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("SET: %v, %v", v, err)
+	}
+	v, err := mr.ReadReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, ok := v.(string); !ok || !strings.Contains(line, "spied") {
+		t.Fatalf("monitor line = %v", v)
+	}
+	mw.WriteCommand([]byte("PING"))
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.ReadReply(); err == nil || isTimeout(err) {
+		t.Fatalf("monitor conn still open after detach command: %v", err)
+	}
+
+	lr, lw, lconn := tcpClient(t, addr)
+	lconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	lw.WriteCommand([]byte("MONITOR"))
+	lw.WriteCommand([]byte("PING"))
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := lr.ReadReply(); err != nil || v != "OK" {
+		t.Fatalf("pipelined MONITOR ack: %v, %v", v, err)
+	}
+	for {
+		v, err := lr.ReadReply()
+		if err != nil {
+			if isTimeout(err) {
+				t.Fatal("command pipelined behind MONITOR did not detach it")
+			}
+			break // detached and closed
+		}
+		if _, ok := v.(string); !ok {
+			t.Fatalf("unexpected monitor reply %v", v)
+		}
+	}
+}
+
+// TestServeStalledReaderDropped: a client that pipelines large GETs and
+// never reads its replies is dropped once the write deadline passes,
+// instead of pinning its serve goroutine, and a shutdown that starts
+// while such a client is connected drains in about the write timeout,
+// not the force-close drainTimeout.
+func TestServeStalledReaderDropped(t *testing.T) {
+	const writeTimeout = 200 * time.Millisecond
+	for _, dispatch := range []string{"worker", "mutex"} {
+		t.Run(dispatch, func(t *testing.T) {
+			var s *server
+			if dispatch == "worker" {
+				s = newWorkerServer(t, 1)
+			} else {
+				s = newTestServer(t)
+			}
+			s.net.writeTimeout = writeTimeout
+			s.net.maxPipeline = 16 // bounds the worker slab's reply buffers
+			addr := tcpFrontend(t, s)
+
+			// stall sets a 64 KiB value, then pipelines GETs of it that
+			// are never read: far more reply bytes than the socket
+			// buffers hold.
+			stall := func() {
+				_, w, conn := tcpClient(t, addr)
+				w.WriteCommand([]byte("SET"), []byte("big"), bytes.Repeat([]byte("v"), 64<<10))
+				for i := 0; i < 2000; i++ {
+					w.WriteCommand([]byte("GET"), []byte("big"))
+				}
+				go func() {
+					conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+					w.Flush()
+				}()
+			}
+			waitConns := func(want int64, within time.Duration) bool {
+				deadline := time.Now().Add(within)
+				for s.tele.activeConns.Load() != want {
+					if time.Now().After(deadline) {
+						return false
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				return true
+			}
+
+			stall()
+			if !waitConns(1, 2*time.Second) {
+				t.Fatal("stalled client never connected")
+			}
+			if !waitConns(0, 10*writeTimeout) {
+				t.Fatalf("stalled reader still connected %v after its write deadline", 10*writeTimeout)
+			}
+
+			stall()
+			if !waitConns(1, 2*time.Second) {
+				t.Fatal("second stalled client never connected")
+			}
+			s.closing.Store(true)
+			s.nudgeConns()
+			start := time.Now()
+			s.drain()
+			if took := time.Since(start); took > drainTimeout/2 {
+				t.Fatalf("drain took %v with a stalled reader (write timeout %v)", took, writeTimeout)
+			}
+		})
+	}
+}
+
+// TestServeLargeValue: a SET far past the simulated I/O rings answers
+// +OK, the value reads back intact, and the server keeps serving.
+func TestServeLargeValue(t *testing.T) {
+	s := newWorkerServer(t, 2)
+	addr := tcpFrontend(t, s)
+	r, w, conn := tcpClient(t, addr)
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	for _, size := range []int{1 << 20, 32 << 20} {
+		val := bytes.Repeat([]byte("x"), size)
+		val[size-1] = 'z'
+		w.WriteCommand([]byte("SET"), []byte("big"), val)
+		w.WriteCommand([]byte("GET"), []byte("big"))
+		w.WriteCommand([]byte("PING"))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := r.ReadReply(); err != nil || v != "OK" {
+			t.Fatalf("SET %d bytes: %v, %v", size, v, err)
+		}
+		if v, err := r.ReadReply(); err != nil || !bytes.Equal(v.([]byte), val) {
+			t.Fatalf("GET %d bytes: err %v", size, err)
+		}
+		if v, err := r.ReadReply(); err != nil || v != "PONG" {
+			t.Fatalf("PING after %d-byte value: %v, %v", size, v, err)
+		}
+	}
+}

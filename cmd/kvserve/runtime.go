@@ -107,9 +107,6 @@ func (s *server) enqueueAsync(cs *connState, kind shard.OpKind, cmd string, args
 		if cs.ops%every == 0 {
 			sp = s.tracer.BeginSampled(cmd, args[1])
 			sp.Conn = cs.id
-			if cs.netloop {
-				sp.EventRel(trace.EvNetRead, 0, int64(cs.reader), 0, 0)
-			}
 			sp.EventRel(trace.EvDispatch, 0, 0, 0, 0)
 		}
 	}

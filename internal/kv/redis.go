@@ -53,23 +53,14 @@ func newRedisLayer(m *cpu.Machine) *redisLayer {
 // payload (key + inline arguments) is n bytes beyond the key.
 func (r *redisLayer) command(key []byte, extra int) {
 	size := 32 + len(key) + extra // RESP framing + verb + key + args
-	if r.inOff+size > redisBufSize {
-		r.inOff = 0
-	}
-	r.m.Touch(r.inBuf+arch.Addr(r.inOff), size, false, arch.KindOther, arch.CatOther)
-	r.inOff += size
+	r.touchRing(r.inBuf, &r.inOff, size, false)
 	r.m.Compute(parseCost, arch.CatOther)
 }
 
 // reply charges the cost of emitting an n-byte reply (status lines,
 // errors, nil).
 func (r *redisLayer) reply(n int) {
-	size := 16 + n
-	if r.outOff+size > redisBufSize {
-		r.outOff = 0
-	}
-	r.m.Touch(r.outBuf+arch.Addr(r.outOff), size, true, arch.KindOther, arch.CatOther)
-	r.outOff += size
+	r.touchRing(r.outBuf, &r.outOff, 16+n, true)
 	r.m.Compute(replyCost, arch.CatOther)
 }
 
@@ -79,11 +70,22 @@ func (r *redisLayer) reply(n int) {
 // compute.
 func (r *redisLayer) replyValue(m *cpu.Machine, recVA arch.Addr) {
 	_, vl := index.ReadRecordHeader(m, recVA, arch.CatOther)
-	size := 16 + vl
-	if r.outOff+size > redisBufSize {
-		r.outOff = 0
-	}
-	r.m.Touch(r.outBuf+arch.Addr(r.outOff), size, true, arch.KindOther, arch.CatOther)
-	r.outOff += size
+	r.touchRing(r.outBuf, &r.outOff, 16+vl, true)
 	r.m.Compute(replyCost+copyCostPerLine*arch.Cycles(1+vl/64), arch.CatOther)
+}
+
+// touchRing charges size bytes of I/O-buffer traffic on the
+// redisBufSize ring at base, advancing *off. A run that would cross the
+// ring's end restarts at offset 0; a run longer than the whole ring
+// laps it as often as it needs, so no touch leaves the mapped ring
+// whatever the argument or value size.
+func (r *redisLayer) touchRing(base arch.Addr, off *int, size int, write bool) {
+	if *off+size > redisBufSize {
+		*off = 0
+	}
+	for ; size > redisBufSize; size -= redisBufSize {
+		r.m.Touch(base, redisBufSize, write, arch.KindOther, arch.CatOther)
+	}
+	r.m.Touch(base+arch.Addr(*off), size, write, arch.KindOther, arch.CatOther)
+	*off += size
 }

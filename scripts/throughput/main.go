@@ -4,17 +4,14 @@
 // sweeping three axes:
 //
 //   - cores:  the server's GOMAXPROCS (set via env), so one artifact
-//     captures how both dispatch modes and both networking front-ends
-//     scale with available parallelism
+//     captures how both dispatch modes scale with available parallelism
 //   - shards: the engine shard count (worker dispatch owns one
 //     goroutine per shard)
 //   - depth:  the client pipeline depth
 //
-// plus the networking front-end (-netloop event loop vs the default
-// goroutine-per-connection) as an A/B leg, and it pins two headline
-// comparisons at the top configuration: worker vs mutex dispatch, and
-// netloop vs goroutine front-end (both interleaved round-robin so the
-// legs share the machine's noise regime).
+// and it pins a headline comparison at the top configuration: worker
+// vs mutex dispatch, interleaved round-robin so both legs share the
+// machine's noise regime.
 //
 // Usage (from the repo root):
 //
@@ -70,11 +67,10 @@ type benchArtifact struct {
 }
 
 // runSpec is one kvserve configuration to benchmark: a cell of the
-// cores x shards x front-end matrix (depth sweeps inside the cell).
+// cores x shards matrix (depth sweeps inside the cell).
 type runSpec struct {
 	Dispatch string `json:"dispatch"`
-	Frontend string `json:"frontend"` // "goroutine" or "netloop"
-	Cores    int    `json:"cores"`    // server GOMAXPROCS
+	Cores    int    `json:"cores"` // server GOMAXPROCS
 	Shards   int    `json:"shards"`
 	sweep    string
 }
@@ -105,12 +101,9 @@ type matrixArtifact struct {
 	Host   hostmeta.Meta  `json:"host"`
 	Params map[string]any `json:"params"`
 	Runs   []runResult    `json:"runs"`
-	// WorkerHeadline: A = mutex dispatch, B = worker dispatch
-	// (goroutine front-end, top core count).
+	// WorkerHeadline: A = mutex dispatch, B = worker dispatch (top
+	// core count).
 	WorkerHeadline headline `json:"worker_headline"`
-	// NetloopHeadline: A = goroutine front-end, B = netloop front-end
-	// (worker dispatch, top core count).
-	NetloopHeadline headline `json:"netloop_headline"`
 }
 
 func main() {
@@ -146,28 +139,26 @@ func main() {
 	bench := func(spec runSpec) []depthPoint {
 		sweep, err := benchOne(tmp, *kvserve, *kvbench, spec, *ops, *conns, *keys, *vsize)
 		if err != nil {
-			fatal(fmt.Errorf("%s/%s/cores=%d/shards=%d: %w",
-				spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards, err))
+			fatal(fmt.Errorf("%s/cores=%d/shards=%d: %w",
+				spec.Dispatch, spec.Cores, spec.Shards, err))
 		}
 		return sweep
 	}
 
-	// The matrix: cores x shards x front-end, each cell a depth sweep on
-	// the worker runtime (the seeded bench trajectory).
+	// The matrix: cores x shards, each cell a depth sweep on the worker
+	// runtime (the seeded bench trajectory).
 	var runs []runResult
 	for _, c := range cores {
 		for _, shards := range []int{1, 4} {
-			for _, fe := range []string{"goroutine", "netloop"} {
-				spec := runSpec{Dispatch: "worker", Frontend: fe, Cores: c, Shards: shards, sweep: "1,4,16"}
-				fmt.Printf("== worker dispatch, %s front-end, %d core(s), %d shard(s), depths %s ==\n",
-					fe, c, shards, spec.sweep)
-				runs = append(runs, runResult{runSpec: spec, Sweep: bench(spec)})
-			}
+			spec := runSpec{Dispatch: "worker", Cores: c, Shards: shards, sweep: "1,4,16"}
+			fmt.Printf("== worker dispatch, %d core(s), %d shard(s), depths %s ==\n",
+				c, shards, spec.sweep)
+			runs = append(runs, runResult{runSpec: spec, Sweep: bench(spec)})
 		}
 	}
 
-	// Headlines at the top core count, interleaved so both legs of each
-	// comparison sample the same noise regime.
+	// The headline at the top core count, interleaved so both legs
+	// sample the same noise regime.
 	interleave := func(name string, a, b runSpec) (headline, []runResult) {
 		hl := headline{Shards: a.Shards, Depth: 16, Cores: a.Cores}
 		var bestA, bestB []depthPoint
@@ -177,8 +168,8 @@ func main() {
 				legs[0], legs[1] = b, a
 			}
 			for _, spec := range legs {
-				fmt.Printf("== %s headline round %d/%d: %s dispatch, %s front-end ==\n",
-					name, r+1, *rounds, spec.Dispatch, spec.Frontend)
+				fmt.Printf("== %s headline round %d/%d: %s dispatch ==\n",
+					name, r+1, *rounds, spec.Dispatch)
 				sweep := bench(spec)
 				rate := sweep[len(sweep)-1].OpsPerSec
 				if spec == a {
@@ -202,13 +193,9 @@ func main() {
 
 	depth16 := fmt.Sprint(16)
 	workerHL, workerRuns := interleave("worker-vs-mutex",
-		runSpec{Dispatch: "mutex", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16},
-		runSpec{Dispatch: "worker", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16})
-	netloopHL, netloopRuns := interleave("netloop-vs-goroutine",
-		runSpec{Dispatch: "worker", Frontend: "goroutine", Cores: topCores, Shards: 8, sweep: depth16},
-		runSpec{Dispatch: "worker", Frontend: "netloop", Cores: topCores, Shards: 8, sweep: depth16})
+		runSpec{Dispatch: "mutex", Cores: topCores, Shards: 8, sweep: depth16},
+		runSpec{Dispatch: "worker", Cores: topCores, Shards: 8, sweep: depth16})
 	runs = append(runs, workerRuns...)
-	runs = append(runs, netloopRuns...)
 
 	art := matrixArtifact{
 		Name: "throughput",
@@ -219,17 +206,14 @@ func main() {
 			"transport": "unix", "get_ratio": 0.9, "seed": 42,
 			"rounds": *rounds, "cores": cores, "cpus": runtime.NumCPU(),
 		},
-		Runs:            runs,
-		WorkerHeadline:  workerHL,
-		NetloopHeadline: netloopHL,
+		Runs:           runs,
+		WorkerHeadline: workerHL,
 	}
 	if err := writeJSON(*out, art); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("worker headline  (cores=%d shards=%d depth=%d): mutex %.0f ops/sec, worker %.0f ops/sec, speedup %.2fx\n",
+	fmt.Printf("worker headline (cores=%d shards=%d depth=%d): mutex %.0f ops/sec, worker %.0f ops/sec, speedup %.2fx\n",
 		workerHL.Cores, workerHL.Shards, workerHL.Depth, workerHL.AOpsPerSec, workerHL.BOpsPerSec, workerHL.Speedup)
-	fmt.Printf("netloop headline (cores=%d shards=%d depth=%d): goroutine %.0f ops/sec, netloop %.0f ops/sec, speedup %.2fx\n",
-		netloopHL.Cores, netloopHL.Shards, netloopHL.Depth, netloopHL.AOpsPerSec, netloopHL.BOpsPerSec, netloopHL.Speedup)
 	fmt.Printf("wrote %s\n", *out)
 	if *check > 0 {
 		if runtime.NumCPU() <= 1 {
@@ -262,19 +246,15 @@ func parseCores(s string) ([]int, error) {
 	return cores, nil
 }
 
-// benchOne boots kvserve for one spec (GOMAXPROCS via env, -netloop
-// for the event-loop front-end), drives kvbench against it, and
-// returns the parsed sweep.
+// benchOne boots kvserve for one spec (GOMAXPROCS via env), drives
+// kvbench against it, and returns the parsed sweep.
 func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsize int) ([]depthPoint, error) {
-	sock := filepath.Join(tmp, fmt.Sprintf("kv-%s-%s-%d-%d.sock", spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards))
+	sock := filepath.Join(tmp, fmt.Sprintf("kv-%s-%d-%d.sock", spec.Dispatch, spec.Cores, spec.Shards))
 	args := []string{
 		"-sock", sock,
 		"-shards", fmt.Sprint(spec.Shards),
 		"-dispatch", spec.Dispatch,
 		"-preload", "-keys", fmt.Sprint(keys), "-vsize", fmt.Sprint(vsize),
-	}
-	if spec.Frontend == "netloop" {
-		args = append(args, "-netloop")
 	}
 	srv := exec.Command(kvserve, args...)
 	srv.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(spec.Cores))
@@ -297,7 +277,7 @@ func benchOne(tmp, kvserve, kvbench string, spec runSpec, ops, conns, keys, vsiz
 		return nil, err
 	}
 
-	art := filepath.Join(tmp, fmt.Sprintf("sweep-%s-%s-%d-%d.json", spec.Dispatch, spec.Frontend, spec.Cores, spec.Shards))
+	art := filepath.Join(tmp, fmt.Sprintf("sweep-%s-%d-%d.json", spec.Dispatch, spec.Cores, spec.Shards))
 	bench := exec.Command(kvbench,
 		"-sock", sock,
 		"-sweep", spec.sweep,
